@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -128,6 +130,43 @@ void BM_ThroughputFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ThroughputFit);
+
+// The fits a PolluxAgent runs: one row per (K, N) configuration the job has
+// run in, averaged iteration times off the model by a few percent, the
+// agent's two restarts, and the prior pins of the configurations seen.
+void RunAgentShapedFit(benchmark::State& state, const std::vector<Placement>& placements) {
+  const ThroughputParams truth{0.04, 3e-4, 0.02, 0.001, 0.08, 0.004, 1.8};
+  Rng rng(5);
+  std::vector<ThroughputObservation> observations;
+  FitOptions options;
+  options.multi_starts = 2;
+  for (const Placement& placement : placements) {
+    ThroughputObservation obs;
+    obs.placement = placement;
+    obs.batch_size = 256L * placement.num_gpus;
+    obs.iter_time = IterTime(truth, placement, static_cast<double>(obs.batch_size)) *
+                    std::exp(rng.Normal(0.0, 0.03));
+    observations.push_back(obs);
+    options.max_gpus_seen = std::max(options.max_gpus_seen, placement.num_gpus);
+    options.max_nodes_seen = std::max(options.max_nodes_seen, placement.num_nodes);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(FitThroughputParams(observations, options));
+  }
+}
+
+// First-match shape: one single-GPU row and three single-node rows, so the
+// cross-node parameters stay pinned.
+void BM_ThroughputFitSingleNode(benchmark::State& state) {
+  RunAgentShapedFit(state, {{1, 1}, {2, 1}, {3, 1}, {4, 1}});
+}
+BENCHMARK(BM_ThroughputFitSingleNode);
+
+// A job that has also spread over nodes: every parameter is free.
+void BM_ThroughputFitMultiNode(benchmark::State& state) {
+  RunAgentShapedFit(state, {{1, 1}, {2, 1}, {4, 1}, {8, 2}, {12, 3}});
+}
+BENCHMARK(BM_ThroughputFitMultiNode);
 
 void BM_GnsEstimate(benchmark::State& state) {
   Rng rng(7);

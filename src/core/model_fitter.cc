@@ -13,6 +13,12 @@ namespace {
 
 constexpr double kLogEpsilon = 1e-8;
 
+// The tiny ridge on the synchronization parameters resolves the attribution
+// ambiguity when the data cannot distinguish compute from sync time (e.g. all
+// observations share one GPU count): ties break toward compute, keeping
+// extrapolations to other GPU counts sane.
+constexpr double kSyncRidge = 1e-3;
+
 ThroughputParams UnpackParams(const std::vector<double>& x) {
   ThroughputParams params;
   params.alpha_grad = x[0];
@@ -99,6 +105,79 @@ double MedianOf(std::vector<double> values) {
   return median;
 }
 
+// The fit objective: ThroughputRmsle plus the sync ridge, over observations
+// flattened once per fit with their log iteration times precomputed. A row's
+// term is its log-residual. Under Eqn. 10 each sync parameter feeds only the
+// rows of one placement regime (single-node or multi-node) and gamma only the
+// multi-GPU rows, so a finite-difference probe of one of them recomputes just
+// those rows and keeps the base point's terms for the others, which are the
+// same bits. Every value then sums all rows in order, exactly as
+// ThroughputRmsle does.
+class RmsleObjective final : public RowObjective {
+ public:
+  explicit RmsleObjective(const std::vector<ThroughputObservation>& observations) {
+    rows_.reserve(observations.size());
+    for (size_t r = 0; r < observations.size(); ++r) {
+      const ThroughputObservation& obs = observations[r];
+      rows_.push_back({obs.placement, static_cast<double>(obs.batch_size),
+                       std::log(obs.iter_time + kLogEpsilon)});
+      rows_of_[0].push_back(r);
+      rows_of_[1].push_back(r);
+      if (obs.placement.num_gpus > 1) {
+        const size_t alpha_sync = obs.placement.num_nodes <= 1 ? 2 : 4;
+        rows_of_[alpha_sync].push_back(r);
+        rows_of_[alpha_sync + 1].push_back(r);
+        rows_of_[6].push_back(r);
+      }
+    }
+  }
+
+  size_t num_rows() const override { return rows_.size(); }
+
+  double Evaluate(const std::vector<double>& x, std::vector<double>& terms) const override {
+    const ThroughputParams params = UnpackParams(x);
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      terms[r] = Residual(params, rows_[r]);
+    }
+    return Combine(x, terms);
+  }
+
+  double Probe(const std::vector<double>& x, size_t i, const std::vector<double>& base,
+               std::vector<double>& terms) const override {
+    const ThroughputParams params = UnpackParams(x);
+    terms = base;
+    for (size_t r : rows_of_[i]) {
+      terms[r] = Residual(params, rows_[r]);
+    }
+    return Combine(x, terms);
+  }
+
+ private:
+  struct Row {
+    Placement placement;
+    double batch_size;
+    double log_iter_time;
+  };
+
+  static double Residual(const ThroughputParams& params, const Row& row) {
+    return std::log(IterTime(params, row.placement, row.batch_size) + kLogEpsilon) -
+           row.log_iter_time;
+  }
+
+  static double Combine(const std::vector<double>& x, const std::vector<double>& terms) {
+    double total = 0.0;
+    for (double diff : terms) {
+      total += diff * diff;
+    }
+    return std::sqrt(total / static_cast<double>(terms.size())) +
+           kSyncRidge * (x[2] + x[3] + x[4] + x[5]);
+  }
+
+  std::vector<Row> rows_;
+  // Per coordinate, the rows whose term reads it.
+  std::vector<size_t> rows_of_[7];
+};
+
 // One bounded multi-start L-BFGS fit over the given observations.
 FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
                   const FitOptions& options) {
@@ -127,18 +206,11 @@ FitResult FitOnce(const std::vector<ThroughputObservation>& observations,
     upper[3] = upper[5] = 0.0;
   }
 
+  const RmsleObjective objective(observations);
   BoundedProblem problem;
   problem.lower = lower;
   problem.upper = upper;
-  // The tiny ridge on the synchronization parameters resolves the
-  // attribution ambiguity when the data cannot distinguish compute from sync
-  // time (e.g. all observations share one GPU count): ties break toward
-  // compute, keeping extrapolations to other GPU counts sane.
-  constexpr double kSyncRidge = 1e-3;
-  problem.objective = [&](const std::vector<double>& x) {
-    return ThroughputRmsle(UnpackParams(x), observations) +
-           kSyncRidge * (x[2] + x[3] + x[4] + x[5]);
-  };
+  problem.row_objective = &objective;
 
   double alpha_seed = 0.0;
   double beta_seed = 0.0;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 namespace pollux {
@@ -131,6 +132,99 @@ TEST(LbfgsbTest, FullyPinnedBoxReturnsImmediately) {
   EXPECT_DOUBLE_EQ(result.x[0], 2.0);
   EXPECT_DOUBLE_EQ(result.x[1], 3.0);
   EXPECT_TRUE(result.converged);
+}
+
+TEST(LbfgsbTest, EvaluationsCountEveryObjectiveCall) {
+  // One free coordinate, one starting on its lower bound (one-sided
+  // differences) and one pinned by an empty box (no probes at all).
+  int calls = 0;
+  BoundedProblem problem;
+  problem.lower = {-5.0, 0.0, 2.0};
+  problem.upper = {5.0, 5.0, 2.0};
+  problem.objective = [&calls](const std::vector<double>& x) {
+    ++calls;
+    return (x[0] - 1.0) * (x[0] - 1.0) + (x[1] + 1.0) * (x[1] + 1.0) + x[2];
+  };
+  const auto single = MinimizeBounded(problem, {3.0, 0.0, 2.0});
+  EXPECT_EQ(single.evaluations, calls);
+  EXPECT_NEAR(single.x[0], 1.0, 1e-4);
+  EXPECT_DOUBLE_EQ(single.x[1], 0.0);
+
+  calls = 0;
+  Rng rng(3);
+  const auto multi = MinimizeBoundedMultiStart(problem, {3.0, 0.0, 2.0}, 4, rng);
+  EXPECT_EQ(multi.evaluations, calls);
+  EXPECT_GT(multi.evaluations, 4 * single.evaluations / 2);
+}
+
+// f(x) = sqrt(sum of squared row terms) + x2, where row 0 reads x0, row 1
+// reads x0 and x1, and row 2 reads x2.
+double RowTerm(const std::vector<double>& x, size_t row) {
+  switch (row) {
+    case 0:
+      return x[0] - 1.0;
+    case 1:
+      return x[0] * x[1] - 2.0;
+    default:
+      return std::exp(x[2]) - 3.0;
+  }
+}
+
+double CombineRows(const std::vector<double>& x, const std::vector<double>& terms) {
+  double total = 0.0;
+  for (double t : terms) {
+    total += t * t;
+  }
+  return std::sqrt(total) + 0.1 * x[2];
+}
+
+class ThreeRowObjective final : public RowObjective {
+ public:
+  size_t num_rows() const override { return 3; }
+  double Evaluate(const std::vector<double>& x, std::vector<double>& terms) const override {
+    for (size_t r = 0; r < 3; ++r) {
+      terms[r] = RowTerm(x, r);
+    }
+    return CombineRows(x, terms);
+  }
+  double Probe(const std::vector<double>& x, size_t i, const std::vector<double>& base,
+               std::vector<double>& terms) const override {
+    static const std::vector<size_t> kRowsOf[3] = {{0, 1}, {1}, {2}};
+    terms = base;
+    for (size_t r : kRowsOf[i]) {
+      terms[r] = RowTerm(x, r);
+    }
+    return CombineRows(x, terms);
+  }
+};
+
+TEST(LbfgsbTest, RowObjectiveMatchesWholeObjectiveBitForBit) {
+  const ThreeRowObjective rows;
+  BoundedProblem whole;
+  whole.lower = {-4.0, -4.0, 0.0};
+  whole.upper = {4.0, 4.0, 3.0};
+  whole.objective = [](const std::vector<double>& x) {
+    std::vector<double> terms(3);
+    for (size_t r = 0; r < 3; ++r) {
+      terms[r] = RowTerm(x, r);
+    }
+    return CombineRows(x, terms);
+  };
+  BoundedProblem sparse = whole;
+  sparse.objective = nullptr;
+  sparse.row_objective = &rows;
+  Rng rng_whole(9);
+  Rng rng_sparse(9);
+  const auto a = MinimizeBoundedMultiStart(whole, {3.0, 0.5, 0.0}, 3, rng_whole);
+  const auto b = MinimizeBoundedMultiStart(sparse, {3.0, 0.5, 0.0}, 3, rng_sparse);
+  ASSERT_EQ(a.x.size(), b.x.size());
+  for (size_t i = 0; i < a.x.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(a.x[i]), std::bit_cast<uint64_t>(b.x[i])) << i;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.value), std::bit_cast<uint64_t>(b.value));
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_LT(b.value, 0.5);
 }
 
 // Property sweep: convex quadratics with varying conditioning must always be
