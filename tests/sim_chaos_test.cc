@@ -129,9 +129,12 @@ std::map<SimEventKind, size_t> EventKindCounts(const SimResult& result) {
   return counts;
 }
 
+// gtest prints a parameter without a printer as its raw bytes, and ctest
+// takes that listing into the test names: the seed leads so that the leading
+// bytes are not those of a pointer.
 struct ChaosCase {
-  const char* profile;
   uint64_t seed;
+  const char* profile;
 };
 
 class ChaosSchedule : public ::testing::TestWithParam<ChaosCase> {};
@@ -174,9 +177,9 @@ TEST_P(ChaosSchedule, EveryJobCompletesAfterTheChaosHeals) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, ChaosSchedule,
-                         ::testing::Values(ChaosCase{"lan", 1}, ChaosCase{"flaky", 1},
-                                           ChaosCase{"flaky", 2}, ChaosCase{"partitioned", 1},
-                                           ChaosCase{"partitioned", 3}),
+                         ::testing::Values(ChaosCase{1, "lan"}, ChaosCase{1, "flaky"},
+                                           ChaosCase{2, "flaky"}, ChaosCase{1, "partitioned"},
+                                           ChaosCase{3, "partitioned"}),
                          [](const ::testing::TestParamInfo<ChaosCase>& info) {
                            return std::string(info.param.profile) + "_seed" +
                                   std::to_string(info.param.seed);
