@@ -220,7 +220,7 @@ bool ScheddClient::ExpectAck(uint32_t type, const std::string& payload, uint64_t
 bool ScheddClient::CreateTenant(const TenantSetup& setup, std::string* error) {
   BinWriter out;
   out.PutU64(setup.tenant_id);
-  PutTenantSetup(out, setup);
+  Serialize(out, setup);
   return ExpectAck(kMsgCreateTenant, out.str(), nullptr, error);
 }
 
@@ -228,7 +228,7 @@ bool ScheddClient::SubmitJob(uint64_t tenant_id, const AgentReport& agent, doubl
                              std::string* error) {
   BinWriter out;
   out.PutU64(tenant_id);
-  PutAgentReport(out, agent);
+  Serialize(out, agent);
   out.PutDouble(gpu_time);
   return ExpectAck(kMsgSubmitJob, out.str(), nullptr, error);
 }
@@ -245,7 +245,7 @@ bool ScheddClient::Report(uint64_t tenant_id, const std::vector<SchedJobReport>&
   BinWriter out;
   out.PutU64(tenant_id);
   out.PutU64(reports.size());
-  for (const auto& report : reports) PutSchedJobReport(out, report);
+  for (const auto& report : reports) Serialize(out, report);
   return ExpectAck(kMsgReport, out.str(), accepted, error);
 }
 

@@ -586,7 +586,8 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
     case kMsgCreateTenant: {
       TenantSetup setup;
       setup.tenant_id = tenant_id;
-      if (!GetTenantSetup(in, &setup) || !in.AtEnd()) {
+      Serialize(in, setup);
+      if (!in.ok() || !in.AtEnd()) {
         malformed_.fetch_add(1, std::memory_order_relaxed);
         SendError(request.conn, kErrMalformedPayload, "create_tenant");
         return;
@@ -595,8 +596,8 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
         // Idempotent re-create: same shape acks, a different shape is a
         // client bug we refuse rather than silently reconfigure.
         BinWriter existing, proposed;
-        PutTenantSetup(existing, tenant->setup());
-        PutTenantSetup(proposed, setup);
+        Serialize(existing, tenant->setup());
+        Serialize(proposed, setup);
         if (existing.str() == proposed.str()) {
           BinWriter out;
           out.PutU64(0);
@@ -614,7 +615,8 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
       return;
     }
     case kMsgSubmitJob: {
-      AgentReport agent = GetAgentReport(in);
+      AgentReport agent;
+      Serialize(in, agent);
       const double gpu_time = in.GetDouble();
       if (!in.ok() || !in.AtEnd()) {
         malformed_.fetch_add(1, std::memory_order_relaxed);
@@ -668,7 +670,8 @@ void ScheddDaemon::ProcessRequest(Shard& shard, Request& request) {
       }
       uint64_t accepted = 0;
       for (uint64_t i = 0; i < count && in.ok(); ++i) {
-        const SchedJobReport report = GetSchedJobReport(in);
+        SchedJobReport report;
+        Serialize(in, report);
         if (in.ok() && tenant->Ingest(report)) ++accepted;
       }
       if (!in.ok() || !in.AtEnd()) {

@@ -8,202 +8,133 @@
 
 namespace pollux {
 namespace service {
-namespace {
 
-// Absurd-size guard for decoded containers; matches the checkpoint codecs.
-constexpr uint64_t kMaxReasonable = uint64_t{1} << 20;
-
-void PutClusterSpec(BinWriter& out, const ClusterSpec& cluster) {
-  out.PutIntVec(cluster.gpus_per_node);
-  out.PutIntVec(cluster.rack_of_node);
-  out.PutIntVec(cluster.gpu_type_of_node);
-  out.PutU64(cluster.node_gpu_scale.size());
-  for (double scale : cluster.node_gpu_scale) out.PutDouble(scale);
-  out.PutDouble(cluster.rack_link_factor);
-}
-
-bool GetClusterSpec(BinReader& in, ClusterSpec* cluster) {
-  cluster->gpus_per_node = in.GetIntVec();
-  cluster->rack_of_node = in.GetIntVec();
-  cluster->gpu_type_of_node = in.GetIntVec();
-  const uint64_t num_scales = in.GetU64();
-  if (num_scales > kMaxReasonable) {
-    in.MarkBad();
-    return false;
-  }
-  cluster->node_gpu_scale.resize(num_scales);
-  for (uint64_t i = 0; i < num_scales && in.ok(); ++i) {
-    cluster->node_gpu_scale[i] = in.GetDouble();
-  }
-  cluster->rack_link_factor = in.GetDouble();
-  if (!in.ok()) return false;
-  // Shape validation: a tenant must schedule a real cluster, annotations (when
-  // present) must be per-node, and capacities must be non-negative.
-  const size_t nodes = cluster->gpus_per_node.size();
-  if (nodes == 0 || nodes > kMaxReasonable) {
-    in.MarkBad();
-    return false;
-  }
-  for (int gpus : cluster->gpus_per_node) {
-    if (gpus < 0) {
-      in.MarkBad();
-      return false;
+template <class Ar>
+void Serialize(Ar& ar, Io<Ar, ClusterSpec> cluster) {
+  ar.IntVec(cluster.gpus_per_node);
+  SerializeAnnotations(ar, cluster);
+  if constexpr (Ar::kReading) {
+    // Shape validation: a tenant must schedule a real cluster of sane size,
+    // annotations (when present) must be per-node, and capacities must be
+    // non-negative.
+    constexpr size_t kMaxReasonable = size_t{1} << 20;
+    const size_t nodes = cluster.gpus_per_node.size();
+    const auto per_node = [nodes](size_t size) { return size == 0 || size == nodes; };
+    if (ar.ok() &&
+        (nodes == 0 || nodes > kMaxReasonable ||
+         std::any_of(cluster.gpus_per_node.begin(), cluster.gpus_per_node.end(),
+                     [](int gpus) { return gpus < 0; }) ||
+         !per_node(cluster.rack_of_node.size()) || !per_node(cluster.gpu_type_of_node.size()) ||
+         !per_node(cluster.node_gpu_scale.size()))) {
+      ar.Fail("malformed tenant cluster");
     }
   }
-  if (!cluster->rack_of_node.empty() && cluster->rack_of_node.size() != nodes) {
-    in.MarkBad();
-    return false;
-  }
-  if (!cluster->gpu_type_of_node.empty() && cluster->gpu_type_of_node.size() != nodes) {
-    in.MarkBad();
-    return false;
-  }
-  if (!cluster->node_gpu_scale.empty() && cluster->node_gpu_scale.size() != nodes) {
-    in.MarkBad();
-    return false;
-  }
-  return true;
 }
 
-void PutSchedConfig(BinWriter& out, const SchedConfig& config) {
-  out.PutI64(config.ga.population_size);
-  out.PutI64(config.ga.generations);
-  out.PutI64(config.ga.tournament_size);
-  out.PutDouble(config.ga.restart_penalty);
-  out.PutBool(config.ga.interference_avoidance);
-  out.PutU64(config.ga.seed);
-  out.PutBool(config.ga.memoize);
-  out.PutDouble(config.gpu_time_threshold);
-  out.PutDouble(config.weight_lambda);
-  out.PutBool(config.memoize_tables);
-  out.PutDouble(config.round_time_budget);
-  out.PutDouble(config.stale_report_age);
-  out.PutDouble(config.report_interval);
-  out.PutI64(config.lease_intervals);
-  out.PutDouble(config.lease_grace);
-  out.PutDouble(config.degraded_coverage);
-  out.PutBool(config.naive_masking);
-  out.PutString(SchedModeName(config.mode));
-  out.PutDouble(config.dirty_rel_change);
-  out.PutI64(config.shard_jobs);
-  out.PutI64(config.refresh_rounds);
-  out.PutBool(config.queue_admission);
-}
-
-bool GetSchedConfig(BinReader& in, SchedConfig* config) {
-  config->ga.population_size = static_cast<int>(in.GetI64());
-  config->ga.generations = static_cast<int>(in.GetI64());
-  config->ga.tournament_size = static_cast<int>(in.GetI64());
-  config->ga.restart_penalty = in.GetDouble();
-  config->ga.interference_avoidance = in.GetBool();
-  config->ga.seed = in.GetU64();
-  config->ga.memoize = in.GetBool();
-  // Shard workers already parallelize across tenants; each tenant's GA stays
-  // serial so decisions never depend on the daemon's thread count.
-  config->ga.threads = 1;
-  config->gpu_time_threshold = in.GetDouble();
-  config->weight_lambda = in.GetDouble();
-  config->memoize_tables = in.GetBool();
-  config->round_time_budget = in.GetDouble();
-  config->stale_report_age = in.GetDouble();
-  config->report_interval = in.GetDouble();
-  config->lease_intervals = static_cast<int>(in.GetI64());
-  config->lease_grace = in.GetDouble();
-  config->degraded_coverage = in.GetDouble();
-  config->naive_masking = in.GetBool();
-  const std::string mode = in.GetString();
-  if (!SchedModeByName(mode, &config->mode)) {
-    in.MarkBad();
-    return false;
+template <class Ar>
+void Serialize(Ar& ar, Io<Ar, SchedConfig> config) {
+  ar.I64(config.ga.population_size);
+  ar.I64(config.ga.generations);
+  ar.I64(config.ga.tournament_size);
+  ar.Double(config.ga.restart_penalty);
+  ar.Bool(config.ga.interference_avoidance);
+  ar.U64(config.ga.seed);
+  ar.Bool(config.ga.memoize);
+  ar.Double(config.gpu_time_threshold);
+  ar.Double(config.weight_lambda);
+  ar.Bool(config.memoize_tables);
+  ar.Double(config.round_time_budget);
+  ar.Double(config.stale_report_age);
+  ar.Double(config.report_interval);
+  ar.I64(config.lease_intervals);
+  ar.Double(config.lease_grace);
+  ar.Double(config.degraded_coverage);
+  ar.Bool(config.naive_masking);
+  std::string mode = SchedModeName(config.mode);
+  ar.String(mode);
+  if constexpr (Ar::kReading) {
+    if (!SchedModeByName(mode, &config.mode)) {
+      ar.Fail("unknown scheduling mode");
+      return;
+    }
   }
-  config->dirty_rel_change = in.GetDouble();
-  config->shard_jobs = static_cast<int>(in.GetI64());
-  config->refresh_rounds = static_cast<int>(in.GetI64());
-  config->queue_admission = in.GetBool();
-  if (!in.ok()) return false;
-  // GA budget sanity: a hostile CreateTenant must not be able to request a
-  // round that effectively never terminates or divides by zero.
-  if (config->ga.population_size < 1 || config->ga.population_size > 100000 ||
-      config->ga.generations < 0 || config->ga.generations > 100000 ||
-      config->ga.tournament_size < 1) {
-    in.MarkBad();
-    return false;
-  }
-  return true;
-}
-
-void PutRoundDecisions(BinWriter& out, const RoundDecisions& decisions) {
-  out.PutU64(decisions.round);
-  out.PutBool(decisions.degraded);
-  out.PutDouble(decisions.utility);
-  out.PutU64(decisions.rows.size());
-  for (const auto& [job_id, row] : decisions.rows) {
-    out.PutU64(job_id);
-    out.PutIntVec(row);
+  ar.Double(config.dirty_rel_change);
+  ar.I64(config.shard_jobs);
+  ar.I64(config.refresh_rounds);
+  ar.Bool(config.queue_admission);
+  if constexpr (Ar::kReading) {
+    // Shard workers already parallelize across tenants; each tenant's GA
+    // stays serial so decisions never depend on the daemon's thread count.
+    config.ga.threads = 1;
+    // GA budget sanity: a hostile CreateTenant must not be able to request a
+    // round that effectively never terminates or divides by zero.
+    if (ar.ok() && (config.ga.population_size < 1 || config.ga.population_size > 100000 ||
+                    config.ga.generations < 0 || config.ga.generations > 100000 ||
+                    config.ga.tournament_size < 1)) {
+      ar.Fail("GA budget out of range");
+    }
   }
 }
 
-bool GetRoundDecisions(BinReader& in, RoundDecisions* decisions) {
-  decisions->round = in.GetU64();
-  decisions->degraded = in.GetBool();
-  decisions->cached = false;
-  decisions->utility = in.GetDouble();
-  const uint64_t num_rows = in.GetU64();
-  if (num_rows > kMaxReasonable) {
-    in.MarkBad();
-    return false;
+// Shared by the kMsgDecisions payload and the cached round in tenant
+// snapshots, where `cached` is always clear: there the flags word holds just
+// the degraded bit.
+template <class Ar>
+void Serialize(Ar& ar, Io<Ar, RoundDecisions> decisions) {
+  ar.U64(decisions.round);
+  uint32_t flags = (decisions.degraded ? kDecisionDegraded : 0u) |
+                   (decisions.cached ? kDecisionCached : 0u);
+  ar.U32(flags);
+  if constexpr (Ar::kReading) {
+    decisions.degraded = (flags & kDecisionDegraded) != 0;
+    decisions.cached = (flags & kDecisionCached) != 0;
   }
-  decisions->rows.clear();
-  for (uint64_t i = 0; i < num_rows && in.ok(); ++i) {
-    const uint64_t job_id = in.GetU64();
-    decisions->rows[job_id] = in.GetIntVec();
+  ar.Double(decisions.utility);
+  MapSeq(ar, decisions.rows, [](auto& a, auto& job_id, auto& row) {
+    a.U64(job_id);
+    a.IntVec(row);
+  });
+}
+
+template <class Ar>
+void Serialize(Ar& ar, Io<Ar, TenantSetup> setup) {
+  Serialize(ar, setup.cluster);
+  Serialize(ar, setup.sched);
+}
+
+template void Serialize<BinWriter>(BinWriter&, const TenantSetup&);
+template void Serialize<BinReader>(BinReader&, TenantSetup&);
+
+namespace {
+
+// Snapshot head: format version, tenant id, setup. On load the domain is
+// constructed from the setup before the rest is read.
+template <class Ar>
+void SerializeHead(Ar& ar, Io<Ar, TenantSetup> setup) {
+  uint32_t version = kTenantSnapshotVersion;
+  ar.U32(version);
+  if constexpr (Ar::kReading) {
+    if (!ar.ok() || version != kTenantSnapshotVersion) {
+      ar.Fail("unsupported tenant snapshot version");
+      return;
+    }
   }
-  return in.ok();
+  ar.U64(setup.tenant_id);
+  Serialize(ar, setup);
 }
 
 }  // namespace
 
 std::string EncodeDecisionsPayload(const RoundDecisions& decisions) {
   BinWriter out;
-  out.PutU64(decisions.round);
-  uint32_t flags = 0;
-  if (decisions.degraded) flags |= kDecisionDegraded;
-  if (decisions.cached) flags |= kDecisionCached;
-  out.PutU32(flags);
-  out.PutDouble(decisions.utility);
-  out.PutU64(decisions.rows.size());
-  for (const auto& [job_id, row] : decisions.rows) {
-    out.PutU64(job_id);
-    out.PutIntVec(row);
-  }
+  Serialize(out, decisions);
   return out.str();
 }
 
 bool DecodeDecisionsPayload(const std::string& payload, RoundDecisions* decisions) {
   BinReader in(payload);
-  decisions->round = in.GetU64();
-  const uint32_t flags = in.GetU32();
-  decisions->degraded = (flags & kDecisionDegraded) != 0;
-  decisions->cached = (flags & kDecisionCached) != 0;
-  decisions->utility = in.GetDouble();
-  const uint64_t num_rows = in.GetU64();
-  if (!in.ok() || num_rows > kMaxReasonable) return false;
-  decisions->rows.clear();
-  for (uint64_t i = 0; i < num_rows && in.ok(); ++i) {
-    const uint64_t job_id = in.GetU64();
-    decisions->rows[job_id] = in.GetIntVec();
-  }
+  Serialize(in, *decisions);
   return in.ok() && in.AtEnd();
-}
-
-void PutTenantSetup(BinWriter& out, const TenantSetup& setup) {
-  PutClusterSpec(out, setup.cluster);
-  PutSchedConfig(out, setup.sched);
-}
-
-bool GetTenantSetup(BinReader& in, TenantSetup* setup) {
-  if (!GetClusterSpec(in, &setup->cluster)) return false;
-  return GetSchedConfig(in, &setup->sched);
 }
 
 TenantDomain::TenantDomain(TenantSetup setup)
@@ -271,73 +202,49 @@ TenantDomain::RoundStatus TenantDomain::RunRound(uint64_t round, RoundDecisions*
   return RoundStatus::kExecuted;
 }
 
+template <class Ar>
+void TenantDomain::SerializeBody(Ar& ar, Io<Ar, TenantDomain> domain) {
+  ar.U64(domain.next_round_);
+  ar.Bool(domain.has_last_);
+  if (domain.has_last_) {
+    Serialize(ar, domain.last_);
+    if constexpr (Ar::kReading) {
+      domain.last_.cached = false;  // A reply property, never persisted.
+    }
+  }
+  MapSeq(ar, domain.jobs_, [](auto& a, auto& job_id, auto& report) {
+    a.U64(job_id);
+    Serialize(a, report);
+  });
+  SerializeState(ar, domain.sched_);
+  ar.U64(domain.submits_);
+  ar.U64(domain.cancels_);
+  ar.U64(domain.reports_);
+  ar.U64(domain.rejected_reports_);
+  ar.U64(domain.rounds_);
+}
+
 std::string TenantDomain::EncodeSnapshot() const {
   BinWriter out;
-  out.PutU32(kTenantSnapshotVersion);
-  out.PutU64(setup_.tenant_id);
-  PutTenantSetup(out, setup_);
-  out.PutU64(next_round_);
-  out.PutBool(has_last_);
-  if (has_last_) PutRoundDecisions(out, last_);
-  out.PutU64(jobs_.size());
-  for (const auto& [job_id, report] : jobs_) {
-    out.PutU64(job_id);
-    PutSchedJobReport(out, report);
-  }
-  const PolluxSched::State state = sched_.GetState();
-  PutSchedStateCore(out, state);
-  PutSchedStateIncremental(out, state);
-  out.PutU64(submits_);
-  out.PutU64(cancels_);
-  out.PutU64(reports_);
-  out.PutU64(rejected_reports_);
-  out.PutU64(rounds_);
+  SerializeHead(out, setup_);
+  SerializeBody(out, *this);
   return out.str();
 }
 
 std::unique_ptr<TenantDomain> TenantDomain::FromSnapshot(const std::string& payload,
                                                          std::string* error) {
   BinReader in(payload);
-  const uint32_t version = in.GetU32();
-  if (!in.ok() || version != kTenantSnapshotVersion) {
-    if (error) *error = "unsupported tenant snapshot version";
-    return nullptr;
-  }
   TenantSetup setup;
-  setup.tenant_id = in.GetU64();
-  if (!GetTenantSetup(in, &setup)) {
-    if (error) *error = "malformed tenant setup";
-    return nullptr;
+  SerializeHead(in, setup);
+  std::unique_ptr<TenantDomain> domain;
+  if (in.ok()) {
+    domain = std::make_unique<TenantDomain>(std::move(setup));
+    SerializeBody(in, *domain);
   }
-  auto domain = std::make_unique<TenantDomain>(std::move(setup));
-  domain->next_round_ = in.GetU64();
-  domain->has_last_ = in.GetBool();
-  if (domain->has_last_ && !GetRoundDecisions(in, &domain->last_)) {
-    if (error) *error = "malformed cached round decisions";
-    return nullptr;
-  }
-  const uint64_t num_jobs = in.GetU64();
-  if (!in.ok() || num_jobs > kMaxReasonable) {
-    if (error) *error = "malformed job table";
-    return nullptr;
-  }
-  for (uint64_t i = 0; i < num_jobs && in.ok(); ++i) {
-    const uint64_t job_id = in.GetU64();
-    domain->jobs_[job_id] = GetSchedJobReport(in);
-  }
-  PolluxSched::State state;
-  GetSchedStateCore(in, &state);
-  GetSchedStateIncremental(in, &state);
-  domain->submits_ = in.GetU64();
-  domain->cancels_ = in.GetU64();
-  domain->reports_ = in.GetU64();
-  domain->rejected_reports_ = in.GetU64();
-  domain->rounds_ = in.GetU64();
   if (!in.ok() || !in.AtEnd()) {
-    if (error) *error = "malformed tenant snapshot";
+    if (error) *error = in.error().empty() ? "malformed tenant snapshot" : in.error();
     return nullptr;
   }
-  domain->sched_.SetState(state);
   return domain;
 }
 

@@ -47,11 +47,12 @@ struct TenantSetup {
   SchedConfig sched;
 };
 
-// Codec for the setup minus the tenant id (the id is framed by the caller).
-// GetTenantSetup validates shape (non-empty cluster, sane sizes) and sets the
-// reader's failure flag on malformed input.
-void PutTenantSetup(BinWriter& out, const TenantSetup& setup);
-bool GetTenantSetup(BinReader& in, TenantSetup* setup);
+// Codec for the setup minus the tenant id (the id is framed by the caller),
+// one body for both directions (sim/checkpoint.h). Loading validates shape
+// (non-empty cluster, per-node annotations, sane GA budget) and fails the
+// reader on malformed input.
+template <class Ar>
+void Serialize(Ar& ar, Io<Ar, TenantSetup> setup);
 
 // The outcome of one scheduling round, as returned to clients. `rows` is the
 // scheduler's sparse decision map: a job omitted keeps its allocation.
@@ -106,7 +107,8 @@ class TenantDomain {
   uint64_t rounds() const { return rounds_; }
   const PolluxSched& sched() const { return sched_; }
 
-  // kTagService payload: the complete domain state.
+  // kTagService payload: the complete domain state (head: version, tenant id
+  // and setup; body: everything after).
   std::string EncodeSnapshot() const;
   static std::unique_ptr<TenantDomain> FromSnapshot(const std::string& payload,
                                                     std::string* error);
@@ -121,6 +123,9 @@ class TenantDomain {
                                                      std::string* error);
 
  private:
+  template <class Ar>
+  static void SerializeBody(Ar& ar, Io<Ar, TenantDomain> domain);
+
   TenantSetup setup_;
   PolluxSched sched_;
   // job id -> latest telemetry; current_allocation is daemon-owned.

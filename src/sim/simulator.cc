@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <type_traits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -1535,76 +1536,278 @@ double Simulator::RunEvent() {
   return final_now;
 }
 
+// Snapshot payloads (DESIGN.md §11): one Serialize body per state type and
+// per section, shared by SaveSnapshot (Ar = BinWriter) and LoadSnapshot
+// (Ar = BinReader).
+
+template <class Ar>
+void Serialize(Ar& ar, Io<Ar, PolluxAgent::State> state) {
+  Seq(ar, state.observations, [](auto& a, auto& observation) {
+    a.I64(observation.gpus);
+    a.I64(observation.node_regime);
+    a.I64(observation.batch_bucket);
+    Serialize(a, observation.iter_time);
+    Serialize(a, observation.batch_size);
+  });
+  ar.Double(state.tracker.cov_ema);
+  ar.Double(state.tracker.sqnorm_ema);
+  ar.Double(state.tracker.weight);
+  ar.U64(state.tracker.count);
+  Serialize(ar, state.model_params);
+  ar.Double(state.model_phi);
+  ar.I64(state.model_base_batch);
+  ar.I64(state.max_gpus_seen);
+  ar.I64(state.max_nodes_seen);
+  ar.U64(state.last_fit_configs);
+  ar.I64(state.fits_rejected);
+  ar.I64(state.outliers_rejected);
+}
+
+template <class Ar>
+void Serialize(Ar& ar, Io<Ar, FaultInjector::State> state) {
+  Serialize(ar, state.report_rng);
+  Serialize(ar, state.restart_rng);
+  Serialize(ar, state.sched_rng);
+  ar.Double(state.next_sched_crash);
+  Seq(ar, state.nodes, [](auto& a, auto& node) {
+    Serialize(a, node.rng);
+    a.Bool(node.failed);
+    a.Bool(node.straggler);
+    a.Double(node.next_transition);
+  });
+  ar.U64(state.nodes_created);
+}
+
+template <class Ar>
+void Serialize(Ar& ar, Io<Ar, NetModel::State> state) {
+  const auto channel = [](auto& a, auto& c) {
+    a.U64(c.job_id);
+    Serialize(a, c.rng);
+    a.Double(c.burst_until);
+    a.U64(c.next_seq);
+  };
+  Seq(ar, state.report_channels, channel);
+  Seq(ar, state.decision_channels, channel);
+  const auto track = [](auto& a, auto& t) {
+    Serialize(a, t.rng);
+    a.Bool(t.head_down);
+    a.Double(t.tail_time);
+    Seq(a, t.pending, [](auto& b, auto& flip) { b.Double(flip); });
+  };
+  Seq(ar, state.node_tracks, track);
+  Seq(ar, state.rack_tracks, track);
+  Seq(ar, state.messages, [](auto& a, auto& message) {
+    SerializeEnum(a, message.kind, NetModel::MsgKind::kHeartbeat,
+                  "unknown message kind in snapshot");
+    a.Double(message.deliver_at);
+    a.U64(message.seq);
+    a.U64(message.job_id);
+    a.I64(message.node);
+    a.U64(message.payload_seq);
+    a.Double(message.sent_at);
+    Serialize(a, message.report);
+    a.IntVec(message.row);
+  });
+  ar.U64(state.next_msg_seq);
+  ar.U64(state.node_tracks_created);
+  ar.U64(state.rack_tracks_created);
+}
+
+// An optional model (fault injector, network model): a presence flag that
+// must match this run's configuration, then the model's state. Returns
+// whether the model is present.
+template <class Ar, class Model>
+bool SerializeOptional(Ar& ar, Model* model, const char* mismatch) {
+  bool present = model != nullptr;
+  ar.Bool(present);
+  if constexpr (Ar::kReading) {
+    if (ar.ok() && present != (model != nullptr)) {
+      return ar.Fail(mismatch);
+    }
+  }
+  if (present) {
+    SerializeState(ar, *model);
+  }
+  return present;
+}
+
+// The snapshot sections, each laid out by one body that both saves
+// (ar = BinWriter) and loads (ar = BinReader) it, in load order: the core
+// section's submission cursor validates the job section. The driver payload
+// (kTagExtra) and the opaque scheduler blob (kTagScheduler) are handled by
+// the callers.
+template <class Visit>
+void Simulator::VisitSections(Visit visit) {
+  visit(kTagSimCore, "core", [this](auto& ar) {
+    using Ar = std::decay_t<decltype(ar)>;
+    // Config echo: a snapshot resumed under a different engine, seed, tick, or
+    // trace cannot silently produce a diverged run.
+    const uint32_t engine = options_.engine == SimEngine::kEvent ? 1 : 0;
+    uint32_t saved_engine = engine;
+    uint64_t saved_seed = options_.seed;
+    double saved_tick = options_.tick;
+    uint64_t saved_trace_size = trace_.size();
+    ar.U32(saved_engine);
+    ar.U64(saved_seed);
+    ar.Double(saved_tick);
+    ar.U64(saved_trace_size);
+    if constexpr (Ar::kReading) {
+      if (!ar.ok() || saved_engine != engine || saved_seed != options_.seed ||
+          saved_tick != options_.tick || saved_trace_size != trace_.size()) {
+        ar.Fail("snapshot was written under an incompatible run configuration "
+                "(engine/seed/tick/trace mismatch)");
+        return;
+      }
+    }
+    ar.IntVec(cluster_.gpus_per_node);
+    ar.IntVec(base_cluster_.gpus_per_node);
+    SerializeState(ar, rng_);
+    ar.U64(next_submission_);
+    ar.U64(checked_events_);
+    ar.Double(max_event_time_);
+    if constexpr (Ar::kReading) {
+      if (next_submission_ > trace_.size()) {
+        ar.Fail("submission cursor is past the end of the trace");
+      }
+    }
+  });
+  visit(kTagJobs, "job", [this](auto& ar) {
+    using Ar = std::decay_t<decltype(ar)>;
+    uint64_t count = jobs_.size();
+    ar.U64(count);
+    AgentConfig agent_config;
+    agent_config.robust_fitting = options_.faults.enabled();
+    if constexpr (Ar::kReading) {
+      if (!ar.ok() || count != next_submission_) {
+        ar.Fail("job count does not match the submission cursor");
+        return;
+      }
+      jobs_.clear();
+      active_.clear();
+    }
+    for (size_t i = 0; i < count && ar.ok(); ++i) {
+      if constexpr (Ar::kReading) {
+        const JobSpec& spec = trace_[i];
+        jobs_.push_back(std::make_unique<Job>(spec, GetModelProfile(spec.model),
+                                              scheduler_->adapts_batch_size(), Rng(0),
+                                              agent_config));
+        active_.push_back(i);
+      }
+      Job& job = *jobs_[i];
+      uint64_t job_id = job.spec.job_id;
+      ar.U64(job_id);
+      if constexpr (Ar::kReading) {
+        if (ar.ok() && job_id != job.spec.job_id) {
+          ar.Fail("job order does not match the trace");
+          return;
+        }
+      }
+      SerializeState(ar, job.agent);
+      SerializeState(ar, job.rng);
+      ar.IntVec(job.alloc);
+      if constexpr (Ar::kReading) {
+        job.placement = PlacementOf(job.alloc);
+      }
+      ar.I64(job.batch);
+      ar.Double(job.progress);
+      ar.Bool(job.finished);
+      ar.Double(job.restart_until);
+      ar.Double(job.start_time);
+      ar.Double(job.finish_time);
+      ar.Double(job.gpu_time);
+      ar.I64(job.restarts);
+      ar.I64(job.evictions);
+      ar.I64(job.restart_failures);
+      ar.Double(job.backoff_seconds);
+      ar.Bool(job.has_report);
+      ar.Double(job.last_report_time);
+      Serialize(ar, job.report);
+      ar.U64(job.report_seq);
+      ar.U64(job.decision_seq);
+      ar.Double(job.run_seconds);
+      ar.Double(job.eff_integral);
+      ar.Double(job.tput_integral);
+      ar.Double(job.goodput_integral);
+    }
+    if constexpr (Ar::kReading) {
+      CompactActive();
+    }
+  });
+  visit(kTagTopology, "topology", [this](auto& ar) {
+    using Ar = std::decay_t<decltype(ar)>;
+    // Annotations for both cluster copies. Flat runs write two false flags, so
+    // save -> load -> save stays byte-identical; the section matters after an
+    // autoscale resize, where the annotation vectors no longer match the
+    // construction-time options.
+    for (ClusterSpec* cluster : {&cluster_, &base_cluster_}) {
+      bool annotated = cluster->HasTopology();
+      ar.Bool(annotated);
+      if (annotated) {
+        ar.Double(cluster->rack_link_factor);
+        ar.IntVec(cluster->rack_of_node);
+        ar.IntVec(cluster->gpu_type_of_node);
+        Seq(ar, cluster->node_gpu_scale, [](auto& a, auto& scale) { a.Double(scale); });
+      } else if constexpr (Ar::kReading) {
+        *cluster = cluster->WithoutTopology();
+      }
+    }
+  });
+  visit(kTagFaults, "fault", [this](auto& ar) {
+    SerializeOptional(ar, faults_.get(), "fault-injection configuration mismatch");
+  });
+  visit(kTagNet, "network", [this](auto& ar) {
+    // NetModel streams and in-flight messages, then lease liveness.
+    if (!SerializeOptional(ar, net_.get(), "network-model configuration mismatch")) {
+      return;
+    }
+    Seq(ar, last_heard_, [](auto& a, auto& heard) { a.Double(heard); });
+    MapSeq(ar, partition_started_, [](auto& a, auto& key, auto& start) {
+      a.U32(key.first);
+      a.I64(key.second);
+      a.Double(start);
+    });
+  });
+  visit(kTagResult, "result", [this](auto& ar) {
+    // Event log, timeline, node-second accounting.
+    Seq(ar, result_.events, [](auto& a, auto& event) {
+      a.Double(event.time);
+      SerializeEnum(a, event.kind, SimEventKind::kDecisionBounce, "unknown event kind in snapshot");
+      a.U64(event.job_id);
+      a.I64(event.gpus);
+      a.I64(event.nodes);
+    });
+    Seq(ar, result_.timeline, [](auto& a, auto& sample) {
+      a.Double(sample.time);
+      a.I64(sample.nodes);
+      a.I64(sample.total_gpus);
+      a.I64(sample.gpus_in_use);
+      a.I64(sample.running_jobs);
+      a.Double(sample.mean_efficiency);
+      a.Double(sample.utility);
+      a.I64(sample.max_batch_size);
+    });
+    ar.Double(result_.node_seconds);
+  });
+  visit(kTagLoop, "loop", [this](auto& ar) {
+    ar.Bool(loop_.valid);
+    ar.Double(loop_.now);
+    ar.Double(loop_.next_report);
+    ar.Double(loop_.next_sched);
+    ar.Double(loop_.next_autoscale);
+    ar.Double(loop_.next_checkpoint);
+    ar.Double(loop_.report_threshold);
+    ar.Double(loop_.report_last);
+    ar.Double(loop_.sched_threshold);
+    ar.Double(loop_.sched_last);
+    ar.Double(loop_.autoscale_threshold);
+    ar.Double(loop_.autoscale_last);
+    ar.Double(loop_.ckpt_threshold);
+    ar.Double(loop_.ckpt_last);
+    ar.U64(loop_.engine_events);
+  });
+}
+
 namespace {
-
-void PutAgentState(BinWriter& out, const PolluxAgent::State& state) {
-  out.PutU64(state.observations.size());
-  for (const auto& observation : state.observations) {
-    out.PutI64(observation.gpus);
-    out.PutI64(observation.node_regime);
-    out.PutI64(observation.batch_bucket);
-    PutRunningStats(out, observation.iter_time);
-    PutRunningStats(out, observation.batch_size);
-  }
-  out.PutDouble(state.tracker.cov_ema);
-  out.PutDouble(state.tracker.sqnorm_ema);
-  out.PutDouble(state.tracker.weight);
-  out.PutU64(state.tracker.count);
-  const ThroughputParams& params = state.model_params;
-  out.PutDouble(params.alpha_grad);
-  out.PutDouble(params.beta_grad);
-  out.PutDouble(params.alpha_sync_local);
-  out.PutDouble(params.beta_sync_local);
-  out.PutDouble(params.alpha_sync_node);
-  out.PutDouble(params.beta_sync_node);
-  out.PutDouble(params.gamma);
-  out.PutDouble(state.model_phi);
-  out.PutI64(state.model_base_batch);
-  out.PutI64(state.max_gpus_seen);
-  out.PutI64(state.max_nodes_seen);
-  out.PutU64(state.last_fit_configs);
-  out.PutI64(state.fits_rejected);
-  out.PutI64(state.outliers_rejected);
-}
-
-PolluxAgent::State GetAgentState(BinReader& in) {
-  PolluxAgent::State state;
-  const uint64_t observations = in.GetU64();
-  if (!in.ok()) {
-    return state;
-  }
-  state.observations.reserve(static_cast<size_t>(observations));
-  for (uint64_t i = 0; i < observations && in.ok(); ++i) {
-    PolluxAgent::State::Observation observation;
-    observation.gpus = static_cast<int>(in.GetI64());
-    observation.node_regime = static_cast<int>(in.GetI64());
-    observation.batch_bucket = static_cast<long>(in.GetI64());
-    observation.iter_time = GetRunningStats(in);
-    observation.batch_size = GetRunningStats(in);
-    state.observations.push_back(observation);
-  }
-  state.tracker.cov_ema = in.GetDouble();
-  state.tracker.sqnorm_ema = in.GetDouble();
-  state.tracker.weight = in.GetDouble();
-  state.tracker.count = static_cast<size_t>(in.GetU64());
-  ThroughputParams params;
-  params.alpha_grad = in.GetDouble();
-  params.beta_grad = in.GetDouble();
-  params.alpha_sync_local = in.GetDouble();
-  params.beta_sync_local = in.GetDouble();
-  params.alpha_sync_node = in.GetDouble();
-  params.beta_sync_node = in.GetDouble();
-  params.gamma = in.GetDouble();
-  state.model_params = params;
-  state.model_phi = in.GetDouble();
-  state.model_base_batch = static_cast<long>(in.GetI64());
-  state.max_gpus_seen = static_cast<int>(in.GetI64());
-  state.max_nodes_seen = static_cast<int>(in.GetI64());
-  state.last_fit_configs = static_cast<size_t>(in.GetU64());
-  state.fits_rejected = static_cast<int>(in.GetI64());
-  state.outliers_rejected = static_cast<int>(in.GetI64());
-  return state;
-}
 
 bool LoadFail(std::string* error, const std::string& path, const std::string& message) {
   if (error != nullptr) {
@@ -1617,203 +1820,17 @@ bool LoadFail(std::string* error, const std::string& path, const std::string& me
 
 bool Simulator::SaveSnapshot(const std::string& path, std::string* error) {
   std::map<uint32_t, std::string> sections;
-  sections[kTagExtra] = EncodeSnapshotExtra(snapshot_extra_);
-  {
-    // Core scalars plus a config echo validated on load: a snapshot resumed
-    // under a different engine, seed, tick, or trace cannot silently produce
-    // a diverged run.
-    BinWriter out;
-    out.PutU32(options_.engine == SimEngine::kEvent ? 1 : 0);
-    out.PutU64(options_.seed);
-    out.PutDouble(options_.tick);
-    out.PutU64(trace_.size());
-    out.PutIntVec(cluster_.gpus_per_node);
-    out.PutIntVec(base_cluster_.gpus_per_node);
-    PutRngState(out, rng_.GetState());
-    out.PutU64(next_submission_);
-    out.PutU64(checked_events_);
-    out.PutDouble(max_event_time_);
-    sections[kTagSimCore] = out.str();
-  }
   {
     BinWriter out;
-    out.PutU64(jobs_.size());
-    for (const auto& job : jobs_) {
-      out.PutU64(job->spec.job_id);
-      PutAgentState(out, job->agent.GetState());
-      PutRngState(out, job->rng.GetState());
-      out.PutIntVec(job->alloc);
-      out.PutI64(job->batch);
-      out.PutDouble(job->progress);
-      out.PutBool(job->finished);
-      out.PutDouble(job->restart_until);
-      out.PutDouble(job->start_time);
-      out.PutDouble(job->finish_time);
-      out.PutDouble(job->gpu_time);
-      out.PutI64(job->restarts);
-      out.PutI64(job->evictions);
-      out.PutI64(job->restart_failures);
-      out.PutDouble(job->backoff_seconds);
-      out.PutBool(job->has_report);
-      out.PutDouble(job->last_report_time);
-      PutAgentReport(out, job->report);
-      out.PutU64(job->report_seq);
-      out.PutU64(job->decision_seq);
-      out.PutDouble(job->run_seconds);
-      out.PutDouble(job->eff_integral);
-      out.PutDouble(job->tput_integral);
-      out.PutDouble(job->goodput_integral);
-    }
-    sections[kTagJobs] = out.str();
+    Serialize(out, snapshot_extra_);
+    sections[kTagExtra] = out.str();
   }
-  {
+  VisitSections([&sections](uint32_t tag, const char* /*name*/, auto body) {
     BinWriter out;
-    out.PutBool(faults_ != nullptr);
-    if (faults_ != nullptr) {
-      const FaultInjector::State state = faults_->GetState();
-      PutRngState(out, state.report_rng);
-      PutRngState(out, state.restart_rng);
-      PutRngState(out, state.sched_rng);
-      out.PutDouble(state.next_sched_crash);
-      out.PutU64(state.nodes.size());
-      for (const auto& node : state.nodes) {
-        PutRngState(out, node.rng);
-        out.PutBool(node.failed);
-        out.PutBool(node.straggler);
-        out.PutDouble(node.next_transition);
-      }
-      out.PutU64(state.nodes_created);
-    }
-    sections[kTagFaults] = out.str();
-  }
-  {
-    BinWriter out;
-    out.PutBool(net_ != nullptr);
-    if (net_ != nullptr) {
-      const NetModel::State state = net_->GetState();
-      const auto put_channels = [&out](const std::vector<NetModel::State::Channel>& channels) {
-        out.PutU64(channels.size());
-        for (const auto& channel : channels) {
-          out.PutU64(channel.job_id);
-          PutRngState(out, channel.rng);
-          out.PutDouble(channel.burst_until);
-          out.PutU64(channel.next_seq);
-        }
-      };
-      put_channels(state.report_channels);
-      put_channels(state.decision_channels);
-      const auto put_tracks = [&out](const std::vector<NetModel::State::Track>& tracks) {
-        out.PutU64(tracks.size());
-        for (const auto& track : tracks) {
-          PutRngState(out, track.rng);
-          out.PutBool(track.head_down);
-          out.PutDouble(track.tail_time);
-          out.PutU64(track.pending.size());
-          for (double flip : track.pending) {
-            out.PutDouble(flip);
-          }
-        }
-      };
-      put_tracks(state.node_tracks);
-      put_tracks(state.rack_tracks);
-      out.PutU64(state.messages.size());
-      for (const NetModel::Message& message : state.messages) {
-        out.PutU32(static_cast<uint32_t>(message.kind));
-        out.PutDouble(message.deliver_at);
-        out.PutU64(message.seq);
-        out.PutU64(message.job_id);
-        out.PutI64(message.node);
-        out.PutU64(message.payload_seq);
-        out.PutDouble(message.sent_at);
-        PutAgentReport(out, message.report);
-        out.PutIntVec(message.row);
-      }
-      out.PutU64(state.next_msg_seq);
-      out.PutU64(state.node_tracks_created);
-      out.PutU64(state.rack_tracks_created);
-      out.PutU64(last_heard_.size());
-      for (double heard : last_heard_) {
-        out.PutDouble(heard);
-      }
-      out.PutU64(partition_started_.size());
-      for (const auto& [key, start] : partition_started_) {
-        out.PutU32(static_cast<uint32_t>(key.first));
-        out.PutI64(key.second);
-        out.PutDouble(start);
-      }
-    }
-    sections[kTagNet] = out.str();
-  }
-  {
-    std::string blob;
-    scheduler_->SaveState(&blob);
-    sections[kTagScheduler] = std::move(blob);
-  }
-  {
-    // Topology annotations for both cluster copies (v3). The section is
-    // written even for flat runs (two false flags) so save -> load -> save is
-    // byte-identical; it matters after an autoscale resize, where the
-    // annotation vectors no longer match the construction-time options.
-    BinWriter out;
-    const auto put_topology = [&out](const ClusterSpec& cluster) {
-      out.PutBool(cluster.HasTopology());
-      if (cluster.HasTopology()) {
-        out.PutDouble(cluster.rack_link_factor);
-        out.PutIntVec(cluster.rack_of_node);
-        out.PutIntVec(cluster.gpu_type_of_node);
-        out.PutU64(cluster.node_gpu_scale.size());
-        for (double scale : cluster.node_gpu_scale) {
-          out.PutDouble(scale);
-        }
-      }
-    };
-    put_topology(cluster_);
-    put_topology(base_cluster_);
-    sections[kTagTopology] = out.str();
-  }
-  {
-    BinWriter out;
-    out.PutU64(result_.events.size());
-    for (const auto& event : result_.events) {
-      out.PutDouble(event.time);
-      out.PutU32(static_cast<uint32_t>(event.kind));
-      out.PutU64(event.job_id);
-      out.PutI64(event.gpus);
-      out.PutI64(event.nodes);
-    }
-    out.PutU64(result_.timeline.size());
-    for (const auto& sample : result_.timeline) {
-      out.PutDouble(sample.time);
-      out.PutI64(sample.nodes);
-      out.PutI64(sample.total_gpus);
-      out.PutI64(sample.gpus_in_use);
-      out.PutI64(sample.running_jobs);
-      out.PutDouble(sample.mean_efficiency);
-      out.PutDouble(sample.utility);
-      out.PutI64(sample.max_batch_size);
-    }
-    out.PutDouble(result_.node_seconds);
-    sections[kTagResult] = out.str();
-  }
-  {
-    BinWriter out;
-    out.PutBool(loop_.valid);
-    out.PutDouble(loop_.now);
-    out.PutDouble(loop_.next_report);
-    out.PutDouble(loop_.next_sched);
-    out.PutDouble(loop_.next_autoscale);
-    out.PutDouble(loop_.next_checkpoint);
-    out.PutDouble(loop_.report_threshold);
-    out.PutDouble(loop_.report_last);
-    out.PutDouble(loop_.sched_threshold);
-    out.PutDouble(loop_.sched_last);
-    out.PutDouble(loop_.autoscale_threshold);
-    out.PutDouble(loop_.autoscale_last);
-    out.PutDouble(loop_.ckpt_threshold);
-    out.PutDouble(loop_.ckpt_last);
-    out.PutU64(loop_.engine_events);
-    sections[kTagLoop] = out.str();
-  }
+    body(out);
+    sections[tag] = out.str();
+  });
+  scheduler_->SaveState(&sections[kTagScheduler]);
 
   SnapshotMeta meta;
   meta.sim_time = loop_.now;
@@ -1846,311 +1863,28 @@ bool Simulator::LoadSnapshot(const std::string& path, std::string* error) {
     }
   }
 
-  {
-    BinReader in(sections[kTagSimCore]);
-    const uint32_t engine = in.GetU32();
-    const uint64_t seed = in.GetU64();
-    const double tick = in.GetDouble();
-    const uint64_t trace_size = in.GetU64();
-    if (!in.ok() || engine != (options_.engine == SimEngine::kEvent ? 1u : 0u) ||
-        seed != options_.seed || tick != options_.tick || trace_size != trace_.size()) {
-      return LoadFail(error, path,
-                      "snapshot was written under an incompatible run configuration "
-                      "(engine/seed/tick/trace mismatch)");
+  std::string failure;
+  VisitSections([&](uint32_t tag, const char* name, auto body) {
+    const auto section = sections.find(tag);
+    // Snapshots written before v3 have no topology section; the
+    // construction-time annotations from SimOptions::cluster stay in force.
+    if (!failure.empty() || section == sections.end()) {
+      return;
     }
-    cluster_.gpus_per_node = in.GetIntVec();
-    base_cluster_.gpus_per_node = in.GetIntVec();
-    rng_.SetState(GetRngState(in));
-    next_submission_ = static_cast<size_t>(in.GetU64());
-    checked_events_ = static_cast<size_t>(in.GetU64());
-    max_event_time_ = in.GetDouble();
-    if (!in.ok() || !in.AtEnd() || next_submission_ > trace_.size()) {
-      return LoadFail(error, path, "malformed core section");
-    }
-  }
-
-  {
-    BinReader in(sections[kTagJobs]);
-    const uint64_t count = in.GetU64();
-    if (!in.ok() || count != next_submission_) {
-      return LoadFail(error, path, "job count does not match the submission cursor");
-    }
-    AgentConfig agent_config;
-    if (options_.faults.enabled()) {
-      agent_config.robust_fitting = true;
-    }
-    jobs_.clear();
-    for (uint64_t i = 0; i < count && in.ok(); ++i) {
-      const uint64_t job_id = in.GetU64();
-      const JobSpec& spec = trace_[static_cast<size_t>(i)];
-      if (spec.job_id != job_id) {
-        return LoadFail(error, path, "job order does not match the trace");
-      }
-      auto job = std::make_unique<Job>(spec, GetModelProfile(spec.model),
-                                       scheduler_->adapts_batch_size(), Rng(0), agent_config);
-      job->agent.SetState(GetAgentState(in));
-      job->rng.SetState(GetRngState(in));
-      job->alloc = in.GetIntVec();
-      job->placement = PlacementOf(job->alloc);
-      job->batch = static_cast<long>(in.GetI64());
-      job->progress = in.GetDouble();
-      job->finished = in.GetBool();
-      job->restart_until = in.GetDouble();
-      job->start_time = in.GetDouble();
-      job->finish_time = in.GetDouble();
-      job->gpu_time = in.GetDouble();
-      job->restarts = static_cast<int>(in.GetI64());
-      job->evictions = static_cast<int>(in.GetI64());
-      job->restart_failures = static_cast<int>(in.GetI64());
-      job->backoff_seconds = in.GetDouble();
-      job->has_report = in.GetBool();
-      job->last_report_time = in.GetDouble();
-      job->report = GetAgentReport(in);
-      job->report_seq = in.GetU64();
-      job->decision_seq = in.GetU64();
-      job->run_seconds = in.GetDouble();
-      job->eff_integral = in.GetDouble();
-      job->tput_integral = in.GetDouble();
-      job->goodput_integral = in.GetDouble();
-      jobs_.push_back(std::move(job));
-    }
+    BinReader in(section->second);
+    body(in);
     if (!in.ok() || !in.AtEnd()) {
-      return LoadFail(error, path, "malformed job section");
+      failure = in.error().empty() ? std::string("malformed ") + name + " section" : in.error();
     }
-    active_.clear();
-    for (size_t i = 0; i < jobs_.size(); ++i) {
-      if (!jobs_[i]->finished) {
-        active_.push_back(i);
-      }
-    }
+  });
+  if (!failure.empty()) {
+    return LoadFail(error, path, failure);
   }
-
-  if (const auto topology_it = sections.find(kTagTopology); topology_it != sections.end()) {
-    BinReader in(topology_it->second);
-    const auto get_topology = [&in](ClusterSpec* cluster) {
-      if (in.GetBool()) {
-        cluster->rack_link_factor = in.GetDouble();
-        cluster->rack_of_node = in.GetIntVec();
-        cluster->gpu_type_of_node = in.GetIntVec();
-        const uint64_t scales = in.GetU64();
-        if (scales > (uint64_t{1} << 20)) {
-          in.MarkBad();
-          return;
-        }
-        cluster->node_gpu_scale.clear();
-        for (uint64_t n = 0; n < scales && in.ok(); ++n) {
-          cluster->node_gpu_scale.push_back(in.GetDouble());
-        }
-      } else {
-        cluster->rack_link_factor = 1.0;
-        cluster->rack_of_node.clear();
-        cluster->gpu_type_of_node.clear();
-        cluster->node_gpu_scale.clear();
-      }
-    };
-    get_topology(&cluster_);
-    get_topology(&base_cluster_);
-    if (!in.ok() || !in.AtEnd()) {
-      return LoadFail(error, path, "malformed topology section");
-    }
-  }
-  // (Snapshots written before v3 have no kTagTopology section; the
-  // construction-time annotations from SimOptions::cluster stay in force.)
-
-  {
-    BinReader in(sections[kTagFaults]);
-    const bool present = in.GetBool();
-    if (present != (faults_ != nullptr)) {
-      return LoadFail(error, path, "fault-injection configuration mismatch");
-    }
-    if (present) {
-      FaultInjector::State state;
-      state.report_rng = GetRngState(in);
-      state.restart_rng = GetRngState(in);
-      state.sched_rng = GetRngState(in);
-      state.next_sched_crash = in.GetDouble();
-      const uint64_t nodes = in.GetU64();
-      if (!in.ok() || nodes > (uint64_t{1} << 20)) {
-        return LoadFail(error, path, "malformed fault section");
-      }
-      for (uint64_t n = 0; n < nodes && in.ok(); ++n) {
-        FaultInjector::State::Node node;
-        node.rng = GetRngState(in);
-        node.failed = in.GetBool();
-        node.straggler = in.GetBool();
-        node.next_transition = in.GetDouble();
-        state.nodes.push_back(node);
-      }
-      state.nodes_created = in.GetU64();
-      if (!in.ok() || !in.AtEnd()) {
-        return LoadFail(error, path, "malformed fault section");
-      }
-      faults_->SetState(state);
-    }
-  }
-
-  {
-    BinReader in(sections[kTagNet]);
-    const bool present = in.GetBool();
-    if (present != (net_ != nullptr)) {
-      return LoadFail(error, path, "network-model configuration mismatch");
-    }
-    if (present) {
-      NetModel::State state;
-      const auto get_channels = [&in](std::vector<NetModel::State::Channel>* channels) {
-        const uint64_t count = in.GetU64();
-        if (count > (uint64_t{1} << 24)) {
-          return false;
-        }
-        for (uint64_t i = 0; i < count && in.ok(); ++i) {
-          NetModel::State::Channel channel;
-          channel.job_id = in.GetU64();
-          channel.rng = GetRngState(in);
-          channel.burst_until = in.GetDouble();
-          channel.next_seq = in.GetU64();
-          channels->push_back(std::move(channel));
-        }
-        return in.ok();
-      };
-      const auto get_tracks = [&in](std::vector<NetModel::State::Track>* tracks) {
-        const uint64_t count = in.GetU64();
-        if (count > (uint64_t{1} << 20)) {
-          return false;
-        }
-        for (uint64_t i = 0; i < count && in.ok(); ++i) {
-          NetModel::State::Track track;
-          track.rng = GetRngState(in);
-          track.head_down = in.GetBool();
-          track.tail_time = in.GetDouble();
-          const uint64_t pending = in.GetU64();
-          if (pending > (uint64_t{1} << 24)) {
-            return false;
-          }
-          for (uint64_t p = 0; p < pending && in.ok(); ++p) {
-            track.pending.push_back(in.GetDouble());
-          }
-          tracks->push_back(std::move(track));
-        }
-        return in.ok();
-      };
-      if (!get_channels(&state.report_channels) || !get_channels(&state.decision_channels) ||
-          !get_tracks(&state.node_tracks) || !get_tracks(&state.rack_tracks)) {
-        return LoadFail(error, path, "malformed network section");
-      }
-      const uint64_t messages = in.GetU64();
-      if (!in.ok() || messages > (uint64_t{1} << 24)) {
-        return LoadFail(error, path, "malformed network section");
-      }
-      for (uint64_t i = 0; i < messages && in.ok(); ++i) {
-        NetModel::Message message;
-        const uint32_t kind = in.GetU32();
-        if (kind > static_cast<uint32_t>(NetModel::MsgKind::kHeartbeat)) {
-          return LoadFail(error, path, "unknown message kind in snapshot");
-        }
-        message.kind = static_cast<NetModel::MsgKind>(kind);
-        message.deliver_at = in.GetDouble();
-        message.seq = in.GetU64();
-        message.job_id = in.GetU64();
-        message.node = static_cast<int>(in.GetI64());
-        message.payload_seq = in.GetU64();
-        message.sent_at = in.GetDouble();
-        message.report = GetAgentReport(in);
-        message.row = in.GetIntVec();
-        state.messages.push_back(std::move(message));
-      }
-      state.next_msg_seq = in.GetU64();
-      state.node_tracks_created = in.GetU64();
-      state.rack_tracks_created = in.GetU64();
-      const uint64_t heard = in.GetU64();
-      if (!in.ok() || heard > (uint64_t{1} << 20)) {
-        return LoadFail(error, path, "malformed network section");
-      }
-      last_heard_.clear();
-      for (uint64_t n = 0; n < heard && in.ok(); ++n) {
-        last_heard_.push_back(in.GetDouble());
-      }
-      const uint64_t partitions = in.GetU64();
-      if (!in.ok() || partitions > (uint64_t{1} << 20)) {
-        return LoadFail(error, path, "malformed network section");
-      }
-      partition_started_.clear();
-      for (uint64_t i = 0; i < partitions && in.ok(); ++i) {
-        const int rack = static_cast<int>(in.GetU32());
-        const int index = static_cast<int>(in.GetI64());
-        partition_started_[{rack, index}] = in.GetDouble();
-      }
-      if (!in.ok() || !in.AtEnd()) {
-        return LoadFail(error, path, "malformed network section");
-      }
-      net_->SetState(state);
-    }
-  }
-
   if (!scheduler_->LoadState(sections[kTagScheduler])) {
     return LoadFail(error, path,
                     std::string("scheduler '") + scheduler_->name() +
                         "' rejected the snapshot's control-plane state");
   }
-
-  {
-    BinReader in(sections[kTagResult]);
-    const uint64_t events = in.GetU64();
-    result_.events.clear();
-    for (uint64_t i = 0; i < events && in.ok(); ++i) {
-      SimEvent event;
-      event.time = in.GetDouble();
-      const uint32_t kind = in.GetU32();
-      if (kind > static_cast<uint32_t>(SimEventKind::kDecisionBounce)) {
-        return LoadFail(error, path, "unknown event kind in snapshot");
-      }
-      event.kind = static_cast<SimEventKind>(kind);
-      event.job_id = in.GetU64();
-      event.gpus = static_cast<int>(in.GetI64());
-      event.nodes = static_cast<int>(in.GetI64());
-      result_.events.push_back(event);
-    }
-    const uint64_t samples = in.GetU64();
-    result_.timeline.clear();
-    for (uint64_t i = 0; i < samples && in.ok(); ++i) {
-      ClusterSample sample;
-      sample.time = in.GetDouble();
-      sample.nodes = static_cast<int>(in.GetI64());
-      sample.total_gpus = static_cast<int>(in.GetI64());
-      sample.gpus_in_use = static_cast<int>(in.GetI64());
-      sample.running_jobs = static_cast<int>(in.GetI64());
-      sample.mean_efficiency = in.GetDouble();
-      sample.utility = in.GetDouble();
-      sample.max_batch_size = static_cast<long>(in.GetI64());
-      result_.timeline.push_back(sample);
-    }
-    result_.node_seconds = in.GetDouble();
-    if (!in.ok() || !in.AtEnd()) {
-      return LoadFail(error, path, "malformed result section");
-    }
-  }
-
-  {
-    BinReader in(sections[kTagLoop]);
-    loop_.valid = in.GetBool();
-    loop_.now = in.GetDouble();
-    loop_.next_report = in.GetDouble();
-    loop_.next_sched = in.GetDouble();
-    loop_.next_autoscale = in.GetDouble();
-    loop_.next_checkpoint = in.GetDouble();
-    loop_.report_threshold = in.GetDouble();
-    loop_.report_last = in.GetDouble();
-    loop_.sched_threshold = in.GetDouble();
-    loop_.sched_last = in.GetDouble();
-    loop_.autoscale_threshold = in.GetDouble();
-    loop_.autoscale_last = in.GetDouble();
-    loop_.ckpt_threshold = in.GetDouble();
-    loop_.ckpt_last = in.GetDouble();
-    loop_.engine_events = in.GetU64();
-    if (!in.ok() || !in.AtEnd()) {
-      return LoadFail(error, path, "malformed loop section");
-    }
-  }
-
   if (obs::MetricsRegistry::Global().enabled()) {
     // Replay the restored event log into the per-kind counters so the final
     // sim.events.* exports cover the whole logical run, not just the portion

@@ -296,6 +296,11 @@ class Simulator {
   // restarted process with no snapshot.
   void RecoverScheduler(double now);
 
+  // Hands each snapshot section's Serialize body to `visit` with its tag and
+  // name, in load order (DESIGN.md §11).
+  template <class Visit>
+  void VisitSections(Visit visit);
+
   // Periodic checkpoint write into options_.checkpoint_dir; failures are
   // logged and the run continues (a missed checkpoint is not fatal).
   void WritePeriodicSnapshot(double now);

@@ -364,7 +364,7 @@ TEST(ScheddDaemonTest, DrainNacksTenantWorkButAnswersPing) {
   // Tenant-scoped work now draws a retryable NACK(draining)...
   BinWriter out;
   out.PutU64(1);
-  PutAgentReport(out, MakeAgent(5));
+  Serialize(out, MakeAgent(5));
   out.PutDouble(0.0);
   auto reply = client.Call(kMsgSubmitJob, out.str());
   ASSERT_TRUE(reply.ok) << reply.error;

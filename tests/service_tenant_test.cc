@@ -90,14 +90,15 @@ TEST(TenantSetupTest, CodecRoundTrip) {
   setup.sched.queue_admission = true;
   setup.sched.lease_intervals = 3;
   BinWriter out;
-  PutTenantSetup(out, setup);
+  Serialize(out, setup);
   BinReader in(out.str());
   TenantSetup parsed;
   parsed.tenant_id = 42;
-  ASSERT_TRUE(GetTenantSetup(in, &parsed));
+  Serialize(in, parsed);
+  ASSERT_TRUE(in.ok());
   EXPECT_TRUE(in.AtEnd());
   BinWriter again;
-  PutTenantSetup(again, parsed);
+  Serialize(again, parsed);
   EXPECT_EQ(out.str(), again.str());
   EXPECT_EQ(parsed.sched.mode, SchedMode::kFirstMatch);
   EXPECT_TRUE(parsed.sched.queue_admission);
@@ -109,31 +110,34 @@ TEST(TenantSetupTest, RejectsMalformedShapes) {
     TenantSetup setup = MakeSetup(1);
     setup.cluster.gpus_per_node.clear();
     BinWriter out;
-    PutTenantSetup(out, setup);
+    Serialize(out, setup);
     BinReader in(out.str());
     TenantSetup parsed;
-    EXPECT_FALSE(GetTenantSetup(in, &parsed));
+    Serialize(in, parsed);
+    EXPECT_FALSE(in.ok());
   }
   // Mismatched rack annotation length.
   {
     TenantSetup setup = MakeSetup(1);
     setup.cluster.rack_of_node = {0};
     BinWriter out;
-    PutTenantSetup(out, setup);
+    Serialize(out, setup);
     BinReader in(out.str());
     TenantSetup parsed;
-    EXPECT_FALSE(GetTenantSetup(in, &parsed));
+    Serialize(in, parsed);
+    EXPECT_FALSE(in.ok());
   }
   // Truncation at every prefix must fail cleanly, never crash.
   {
     BinWriter out;
-    PutTenantSetup(out, MakeSetup(1));
+    Serialize(out, MakeSetup(1));
     const std::string full = out.str();
     for (size_t len = 0; len < full.size(); len += 3) {
       const std::string prefix = full.substr(0, len);
       BinReader in(prefix);
       TenantSetup parsed;
-      EXPECT_FALSE(GetTenantSetup(in, &parsed) && in.AtEnd()) << "prefix " << len;
+      Serialize(in, parsed);
+      EXPECT_FALSE(in.ok() && in.AtEnd()) << "prefix " << len;
     }
   }
 }

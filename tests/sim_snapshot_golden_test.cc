@@ -7,7 +7,9 @@
 // checkpoint in incremental mode (per-job re-optimization snapshots; shard
 // GAs keep no population across rounds). Each must load, re-save
 // byte-for-byte, and resume exactly like the run that wrote it; a fresh run
-// of the same configuration must write the same bytes.
+// of the same configuration must write the same bytes. The last tests feed
+// the decoders small hostile payloads behind a valid CRC: each must come back
+// as a load error, never an abort.
 //
 // A deliberate layout change bumps kSnapshotVersion and regenerates both
 // files in the same commit:
@@ -317,6 +319,86 @@ TEST(SnapshotGoldenTest, TenantGoldenRestoresResavesAndResumesIdentically) {
   EXPECT_EQ(from_restored.utility, from_live.utility);
   EXPECT_EQ(restored->EncodeSnapshot(), live->EncodeSnapshot());
   std::filesystem::remove_all(resave_dir);
+}
+
+// ---------------------------------------------------------------------------
+// Hostile inputs: element counts the payload cannot hold.
+// ---------------------------------------------------------------------------
+
+// A ~100-byte PolluxSched core whose one GA population matrix claims
+// 2^20 x 2^20 cells.
+void PutHugeMatrixCore(BinWriter& out) {
+  Rng::State rng{};
+  Serialize(out, rng);
+  out.PutU64(0);  // last_job_ids
+  out.PutU64(1);  // population size
+  out.PutU64(uint64_t{1} << 20);
+  out.PutU64(uint64_t{1} << 20);
+}
+
+TEST(SnapshotHostileInputTest, PolicyBlobWithHugeMatrixHeaderIsRejected) {
+  BinWriter out;
+  out.IntVec({4, 4});
+  PutHugeMatrixCore(out);
+  EXPECT_EQ(out.str().size(), 100u);
+  PolluxPolicy policy(ClusterSpec::Homogeneous(2, 4), SchedConfig{});
+  EXPECT_FALSE(policy.LoadState(out.str()));
+}
+
+TEST(SnapshotHostileInputTest, TenantSnapshotWithHugeMatrixHeaderIsRejected) {
+  BinWriter out;
+  out.PutU32(service::kTenantSnapshotVersion);
+  out.PutU64(5);  // tenant id
+  Serialize(out, GoldenTenantSetup());
+  out.PutU64(0);      // next round
+  out.Bool(false);    // no cached decisions
+  out.PutU64(0);      // job table
+  PutHugeMatrixCore(out);
+  std::string error;
+  EXPECT_EQ(service::TenantDomain::FromSnapshot(out.str(), &error), nullptr);
+  EXPECT_FALSE(error.empty());
+
+  // The same payload inside a valid container: restore falls through to a
+  // typed error.
+  const std::string dir = FreshDir("tenant_hostile");
+  std::map<uint32_t, std::string> sections;
+  sections[kTagService] = out.str();
+  ASSERT_TRUE(WriteSnapshotFile(dir + "/" + SnapshotFileName(1.0), sections, SnapshotMeta{},
+                                &error))
+      << error;
+  error.clear();
+  EXPECT_EQ(service::TenantDomain::RestoreNewest(dir, &error), nullptr);
+  EXPECT_FALSE(error.empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SnapshotHostileInputTest, AgentObservationCountBeyondThePayloadIsRejected) {
+  std::map<uint32_t, std::string> sections;
+  std::string error;
+  ASSERT_TRUE(ReadSnapshotFile(kSimGolden, &sections, &error)) << error;
+  // Job section: u64 job count, then the first job's u64 id and its agent's
+  // u64 observation count.
+  std::string& jobs = sections[kTagJobs];
+  ASSERT_GE(jobs.size(), 24u);
+  BinReader header(jobs);
+  ASSERT_GT(header.GetU64(), 0u);
+  header.GetU64();
+  ASSERT_LT(header.GetU64(), 1000u);
+  BinWriter huge;
+  huge.PutU64(uint64_t{1} << 40);
+  jobs.replace(16, 8, huge.str());
+  const std::string dir = FreshDir("sim_hostile");
+  const std::string path = dir + "/hostile.bin";
+  ASSERT_TRUE(WriteSnapshotFile(path, sections, SnapshotMeta{}, &error)) << error;
+
+  const DecodedExtra decoded = DecodeGoldenExtra(kSimGolden);
+  PolluxPolicy policy(ClusterFromBenchConfig(decoded.config),
+                      SchedConfigFromBenchConfig(decoded.config));
+  Simulator sim(SimOptionsFromBenchConfig(decoded.config), decoded.trace, &policy);
+  error.clear();
+  EXPECT_FALSE(sim.LoadSnapshot(path, &error));
+  EXPECT_NE(error.find("malformed job section"), std::string::npos) << error;
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
