@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -129,13 +130,14 @@ std::map<SimEventKind, size_t> EventKindCounts(const SimResult& result) {
   return counts;
 }
 
-// gtest prints a parameter without a printer as its raw bytes, and ctest
-// takes that listing into the test names: the seed leads so that the leading
-// bytes are not those of a pointer.
 struct ChaosCase {
   uint64_t seed;
   const char* profile;
 };
+
+// ctest takes gtest's parameter listing into the test names; without a
+// printer gtest would list the raw bytes, pointer included.
+void PrintTo(const ChaosCase& c, std::ostream* os) { *os << c.profile << " seed " << c.seed; }
 
 class ChaosSchedule : public ::testing::TestWithParam<ChaosCase> {};
 

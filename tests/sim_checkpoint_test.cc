@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -122,6 +123,12 @@ struct CheckpointCase {
   const char* faults;  // "none" | "light"
   uint64_t seed;
 };
+
+// ctest takes gtest's parameter listing into the test names; without a
+// printer gtest would list the raw bytes, pointers included.
+void PrintTo(const CheckpointCase& c, std::ostream* os) {
+  *os << c.policy << ' ' << c.engine << ' ' << c.faults << " seed " << c.seed;
+}
 
 class CheckpointResumeSweep : public ::testing::TestWithParam<CheckpointCase> {};
 

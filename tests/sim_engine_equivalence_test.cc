@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,6 +29,12 @@ struct EquivalenceCase {
   const char* fault_profile;  // "none" | "light" | "heavy"
   uint64_t seed;
 };
+
+// ctest takes gtest's parameter listing into the test names; without a
+// printer gtest would list the raw bytes, pointers included.
+void PrintTo(const EquivalenceCase& c, std::ostream* os) {
+  *os << c.policy << ' ' << c.fault_profile << " seed " << c.seed;
+}
 
 std::vector<JobSpec> SmallTrace(uint64_t seed) {
   TraceOptions options;
